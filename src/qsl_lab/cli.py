@@ -35,10 +35,7 @@ def main(argv=None) -> int:
         config = load_config(
             args.config, args.experiment, seed_override=args.seed, threads_override=args.threads
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     result, elapsed, ok = execute(config, args.out)

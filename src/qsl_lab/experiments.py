@@ -315,13 +315,18 @@ def _direction_at_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return math.cos(angle) * axis + math.sin(angle) * transverse
 
 
+def _const_hamiltonian(v: dict) -> np.ndarray:
+    """The constant qubit Hamiltonian A n.sigma/2 + B I of a config."""
+    return qubit_hamiltonian(v["A"], (v["nx"], v["ny"], v["nz"]), v["B"])
+
+
 def run_fig4(config: ExperimentConfig, threads: int = 1) -> RunResult:
     """Path length vs time for a constant Hamiltonian, one series per angle.
 
     Each series must be a straight line of slope |A| sin(theta).
     """
     v = config.values
-    h = qubit_hamiltonian(v["A"], (v["nx"], v["ny"], v["nz"]), v["B"])
+    h = _const_hamiltonian(v)
     axis = np.array([v["nx"], v["ny"], v["nz"]])
     radius = math.sqrt(2.0 * v["purity"] - 1.0)
     checks, series, labels = [], [], []
@@ -364,16 +369,40 @@ def run_fig4(config: ExperimentConfig, threads: int = 1) -> RunResult:
     )
 
 
-def run_fig5(config: ExperimentConfig, threads: int = 1) -> RunResult:
-    """Landau-Zener path length, Bloch angle, and both bounds for one target."""
+def _run_series(config: ExperimentConfig, model, title: str, assess) -> RunResult:
+    """Shared body of fig5 and custom: one trajectory, its report, t/s/theta table and chart.
+
+    ``assess(traj, report)`` returns the runner's own (checks, summary, vlines).
+    """
     v = config.values
-    model = landau_zener(v["V"], v["Delta"])
     rho0 = qubit_state_from_angles(v["purity"], v["phi"], v["varphi"])
     traj = accumulate_path(propagate(model, rho0, v["T_max"], v["steps"]))
     angles = angles_from_start(traj)
     rep = qsl_report(model, rho0, v["theta_target"], trajectory=traj)
+    checks, summary, vlines = assess(traj, rep)
     s = traj.cumulative_path
-    d2 = np.diff(s, 2)
+    rows = [tuple(float(x) for x in row) for row in zip(traj.times, s, angles)]
+    svg = render_chart(
+        title=title,
+        xlabel="t",
+        ylabel="radians",
+        lines=[
+            ("s(t)", traj.times, s, PALETTE[0]),
+            ("Theta(rho0, rho_t)", traj.times, angles, PALETTE[2]),
+        ],
+        vlines=vlines,
+    )
+    return RunResult(
+        experiment=config.experiment,
+        table=ResultTable(("t", "s", "theta"), rows, _metadata(config)),
+        svgs={f"{config.experiment}.svg": svg},
+        checks=checks,
+        summary=summary,
+    )
+
+
+def _assess_fig5(traj, rep):
+    d2 = np.diff(traj.cumulative_path, 2)
     checks = [
         Check(
             "convexity",
@@ -389,53 +418,39 @@ def run_fig5(config: ExperimentConfig, threads: int = 1) -> RunResult:
         f"path_length = {rep.path_length!r}",
         f"reachable = {rep.reachable}",
     ]
-    vlines = []
-    if rep.reachable:
-        grid_tol = traj.dt
-        checks.append(
-            Check(
-                "bounds_below_actual_time",
-                rep.tau_new < rep.actual_time and rep.tau_existing < rep.actual_time,
-                f"tau_new={rep.tau_new:.6f}, tau_existing={rep.tau_existing:.6f}, "
-                f"T={rep.actual_time:.6f}",
-            )
-        )
-        # the path is convex on this window, so the whole-interval average
-        # velocity exceeds the initial-segment average and the path-integral
-        # bound is the tighter (larger) of the two
-        checks.append(
-            Check(
-                "new_bound_at_least_existing",
-                rep.tau_existing <= rep.tau_new + grid_tol,
-                f"tau_existing={rep.tau_existing:.6f} <= tau_new={rep.tau_new:.6f}",
-            )
-        )
-        vlines = [
-            ("tau_existing", rep.tau_existing, PALETTE[3]),
-            ("tau_new", rep.tau_new, PALETTE[1]),
-            ("T", rep.actual_time, PALETTE[5]),
-        ]
-    else:
+    if not rep.reachable:
         summary.append("target angle not reached on this horizon")
-    columns = ("t", "s", "theta")
-    rows = [tuple(float(x) for x in row) for row in zip(traj.times, s, angles)]
-    svg = render_chart(
-        title="Landau-Zener path length and Bloch angle",
-        xlabel="t",
-        ylabel="radians",
-        lines=[
-            ("s(t)", traj.times, s, PALETTE[0]),
-            ("Theta(rho0, rho_t)", traj.times, angles, PALETTE[2]),
-        ],
-        vlines=vlines,
+        return checks, summary, []
+    checks.append(
+        Check(
+            "bounds_below_actual_time",
+            rep.tau_new < rep.actual_time and rep.tau_existing < rep.actual_time,
+            f"tau_new={rep.tau_new:.6f}, tau_existing={rep.tau_existing:.6f}, "
+            f"T={rep.actual_time:.6f}",
+        )
     )
-    return RunResult(
-        experiment="fig5",
-        table=ResultTable(columns, rows, _metadata(config)),
-        svgs={"fig5.svg": svg},
-        checks=checks,
-        summary=summary,
+    # the path is convex on this window, so the whole-interval average
+    # velocity exceeds the initial-segment average and the path-integral
+    # bound is the tighter (larger) of the two
+    checks.append(
+        Check(
+            "new_bound_at_least_existing",
+            rep.tau_existing <= rep.tau_new + traj.dt,
+            f"tau_existing={rep.tau_existing:.6f} <= tau_new={rep.tau_new:.6f}",
+        )
     )
+    vlines = [
+        ("tau_existing", rep.tau_existing, PALETTE[3]),
+        ("tau_new", rep.tau_new, PALETTE[1]),
+        ("T", rep.actual_time, PALETTE[5]),
+    ]
+    return checks, summary, vlines
+
+
+def run_fig5(config: ExperimentConfig, threads: int = 1) -> RunResult:
+    """Landau-Zener path length, Bloch angle, and both bounds for one target."""
+    model = landau_zener(config["V"], config["Delta"])
+    return _run_series(config, model, "Landau-Zener path length and Bloch angle", _assess_fig5)
 
 
 def classify_bounds(tau_new, tau_existing, tie_tol: float = TIE_TOL) -> str:
@@ -557,7 +572,7 @@ def run_appendix_c(config: ExperimentConfig, threads: int = 1) -> RunResult:
 def run_swap_demo(config: ExperimentConfig, threads: int = 1) -> RunResult:
     """Swap-test reconstruction of the fig4 path with shot-noise error bars."""
     v = config.values
-    h = qubit_hamiltonian(v["A"], (v["nx"], v["ny"], v["nz"]), v["B"])
+    h = _const_hamiltonian(v)
     rho0 = qubit_state_from_angles(v["purity"], v["phi"], v["varphi"])
     est = simulate_path_measurement(h, rho0, v["T_max"], v["steps"], v["shots"], v["seed"])
     exact = est.trajectory.cumulative_path
@@ -591,17 +606,7 @@ def run_swap_demo(config: ExperimentConfig, threads: int = 1) -> RunResult:
     )
 
 
-def run_custom(config: ExperimentConfig, threads: int = 1) -> RunResult:
-    """User-specified dynamics, initial state and target; series plus report."""
-    v = config.values
-    if v["dynamics"] == "lz":
-        model = landau_zener(v["V"], v["Delta"])
-    else:
-        model = qubit_hamiltonian(v["A"], (v["nx"], v["ny"], v["nz"]), v["B"])
-    rho0 = qubit_state_from_angles(v["purity"], v["phi"], v["varphi"])
-    traj = accumulate_path(propagate(model, rho0, v["T_max"], v["steps"]))
-    angles = angles_from_start(traj)
-    rep = qsl_report(model, rho0, v["theta_target"], trajectory=traj)
+def _assess_custom(traj, rep):
     checks = []
     if rep.reachable:
         checks.append(
@@ -619,24 +624,14 @@ def run_custom(config: ExperimentConfig, threads: int = 1) -> RunResult:
         f"actual_time = {rep.actual_time!r}",
         f"reachable = {rep.reachable}",
     ]
-    columns = ("t", "s", "theta")
-    rows = [tuple(float(x) for x in row) for row in zip(traj.times, traj.cumulative_path, angles)]
-    svg = render_chart(
-        title="custom dynamics",
-        xlabel="t",
-        ylabel="radians",
-        lines=[
-            ("s(t)", traj.times, traj.cumulative_path, PALETTE[0]),
-            ("Theta(rho0, rho_t)", traj.times, angles, PALETTE[2]),
-        ],
-    )
-    return RunResult(
-        experiment="custom",
-        table=ResultTable(columns, rows, _metadata(config)),
-        svgs={"custom.svg": svg},
-        checks=checks,
-        summary=summary,
-    )
+    return checks, summary, []
+
+
+def run_custom(config: ExperimentConfig, threads: int = 1) -> RunResult:
+    """User-specified dynamics, initial state and target; series plus report."""
+    v = config.values
+    model = landau_zener(v["V"], v["Delta"]) if v["dynamics"] == "lz" else _const_hamiltonian(v)
+    return _run_series(config, model, "custom dynamics", _assess_custom)
 
 
 RUNNERS = {
@@ -648,13 +643,12 @@ RUNNERS = {
 }
 
 
-def execute(config: ExperimentConfig, out_dir, threads: int | None = None) -> tuple[RunResult, float, bool]:
+def execute(config: ExperimentConfig, out_dir) -> tuple[RunResult, float, bool]:
     """Run one experiment, write csv/svg/report artifacts, return (result, seconds, ok)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = threads if threads is not None else config.values.get("threads", 1)
     start = perf_counter()
-    result = RUNNERS[config.experiment](config, threads=workers)
+    result = RUNNERS[config.experiment](config, threads=config.values.get("threads", 1))
     elapsed = perf_counter() - start
     result.table.write(out / f"{config.experiment}.csv")
     for name, svg_text in result.svgs.items():

@@ -25,7 +25,6 @@ s(t_k) = sum_j Theta(rho_j, rho_{j+1}):
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ from .dynamics import (
     with_path,
 )
 from .errors import MaximallyMixedError, UndefinedBoundError
-from .states import CLAMP_WARN_TOL, MIXED_TOL, bloch_angle, bures_angle
+from .states import MIXED_TOL, arccos_clamped, bloch_angle, bures_angle
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,6 @@ def _pair_overlaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("k...ij,k...ji->k...", x, y).real
 
 
-def _angles_from_args(args: np.ndarray) -> np.ndarray:
-    worst = float(np.max(np.abs(args), initial=0.0))
-    if worst > 1.0 + CLAMP_WARN_TOL:
-        warnings.warn(f"arccos argument {worst!r} outside [-1, 1]; clamping", RuntimeWarning)
-    return np.arccos(np.clip(args, -1.0, 1.0))
-
-
 def _radial_terms(states: np.ndarray) -> np.ndarray:
     """f_k = N Tr(rho_k^2) - 1 along a trajectory; errors on zero radius."""
     dim = states.shape[-1]
@@ -90,7 +82,7 @@ def path_angles(states: np.ndarray) -> np.ndarray:
     f = _radial_terms(states)
     t12 = _pair_overlaps(states[:-1], states[1:])
     args = (dim * t12 - 1.0) / np.sqrt(f[:-1] * f[1:])
-    return _angles_from_args(args)
+    return arccos_clamped(args)
 
 
 def start_angles(states: np.ndarray) -> np.ndarray:
@@ -99,7 +91,7 @@ def start_angles(states: np.ndarray) -> np.ndarray:
     f = _radial_terms(states)
     ref = np.einsum("...ij,k...ji->k...", states[0], states).real
     args = (dim * ref - 1.0) / np.sqrt(f[0] * f)
-    return _angles_from_args(args)
+    return arccos_clamped(args)
 
 
 def angles_from_start(traj: Trajectory) -> np.ndarray:
@@ -162,10 +154,6 @@ def velocity_general(model: DynamicsModel, rho: np.ndarray, t: float = 0.0) -> f
     return math.sqrt(max(radicand, 0.0))
 
 
-def _interp_at(times: np.ndarray, values: np.ndarray, t: float) -> float:
-    return float(np.interp(t, times, values))
-
-
 def first_path_crossing(times: np.ndarray, path: np.ndarray, theta: float) -> float | None:
     """Smallest t with s(t) = theta, linear interpolation inside the step."""
     if theta <= 0.0:
@@ -225,7 +213,7 @@ def report_from_series(
         )
     k = int(hit[0])
     actual = refine_angle_crossing(times, states, theta_target, k)
-    s_at = _interp_at(times, path, actual)
+    s_at = float(np.interp(actual, times, path))
     tau_existing = theta_target * actual / s_at
     if tau_new is None:
         # the angle reached the target but the path total sits a few ulp

@@ -172,13 +172,19 @@ def overlap(rho: np.ndarray, sigma: np.ndarray) -> float:
     return min(1.0, max(0.0, val))
 
 
-def arccos_clamped(x: float) -> float:
-    """arccos with the argument clamped to [-1, 1].
+def arccos_clamped(x):
+    """arccos with the argument clamped to [-1, 1], for a scalar or an array.
 
     Floating-point drift routinely pushes cosine values a few ulp past the
-    boundary; excursions beyond CLAMP_WARN_TOL are reported as a warning
-    instead of crashing the metric evaluation.
+    boundary; excursions beyond CLAMP_WARN_TOL are reported as one warning
+    per call instead of crashing the metric evaluation.  Scalars stay on
+    Python min/max, which the crossing bisection calls thousands of times.
     """
+    if isinstance(x, np.ndarray):
+        worst = float(np.max(np.abs(x), initial=0.0))
+        if worst > 1.0 + CLAMP_WARN_TOL:
+            warnings.warn(f"arccos argument {worst!r} outside [-1, 1]; clamping", RuntimeWarning)
+        return np.arccos(np.clip(x, -1.0, 1.0))
     if x > 1.0 + CLAMP_WARN_TOL or x < -1.0 - CLAMP_WARN_TOL:
         warnings.warn(f"arccos argument {x!r} outside [-1, 1]; clamping", RuntimeWarning)
     return float(np.arccos(min(1.0, max(-1.0, x))))

@@ -18,7 +18,7 @@ from qsl_lab import (
     purity,
     qubit_hamiltonian,
 )
-from qsl_lab.errors import NonHermitianError, StepSizeTooLargeError
+from qsl_lab.errors import InvalidStateError, NonHermitianError, StepSizeTooLargeError
 from qsl_lab.states import SIGMA_X, SIGMA_Z, bloch_from_density
 
 PLUS = ket_dm([1, 1])
@@ -122,9 +122,13 @@ class TestPropagateTimedep:
     def test_constant_callable_matches_const_propagator(self):
         h = random_hermitian(np.random.default_rng(4))
         rho0 = random_qubit_dm(np.random.default_rng(5))
-        ref = propagate_const(h, rho0, math.pi, 10_000)
-        driven = propagate_timedep(lambda t: h, rho0, math.pi, 10_000)
-        assert np.max(np.abs(ref.states - driven.states)) <= 1e-8
+        # four levels take the batched-eigh steps instead of the qubit closed form
+        h4 = random_hermitian(np.random.default_rng(4), 4)
+        rho4 = ket_dm(np.arange(1, 5) + 1j * np.arange(4, 0, -1))
+        for h, rho0 in ((h, rho0), (h4, rho4)):
+            ref = propagate_const(h, rho0, math.pi, 10_000)
+            driven = propagate_timedep(lambda t: h, rho0, math.pi, 10_000)
+            assert np.max(np.abs(ref.states - driven.states)) <= 1e-8
 
     def test_unitarity_of_each_step(self):
         model = landau_zener(1.0, 1.0)
@@ -146,6 +150,12 @@ class TestPropagateTimedep:
         bad = lambda t: np.array([[0, 1], [2, 0]], dtype=complex)
         with pytest.raises(NonHermitianError, match="t ="):
             propagate_timedep(bad, PLUS, 1.0, 10)
+        with pytest.raises(NonHermitianError, match="t ="):
+            propagate_unitary_batch(bad, np.stack([PLUS, ZERO]), 1.0, 10)
+        # Hermitian at early midpoints only: every sample is checked
+        late = lambda t: np.diag([1.0, 2.0, 3.0]).astype(complex) + (t > 0.5) * np.triu(np.ones((3, 3)), 1)
+        with pytest.raises(NonHermitianError, match="t = 0.55"):
+            propagate_timedep(late, np.eye(3) / 3.0 + 0.0j, 1.0, 10)
 
     def test_rejects_plain_matrix(self):
         with pytest.raises(TypeError):
@@ -215,6 +225,15 @@ class TestPropagateLindblad:
                 rs = bloch_from_density(scaled.states[k])
                 assert np.max(np.abs(rs - eta * rv)) <= 1e-8
 
+    def test_non_hermitian_constant_hamiltonian_rejected(self):
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(NonHermitianError):
+            lindbladian(bad, PLUS)
+        with pytest.raises(NonHermitianError):
+            lindbladian(LindbladModel(bad, (SIGMA_MINUS,)), PLUS)
+        with pytest.raises(NonHermitianError):
+            propagate_lindblad(LindbladModel(bad), PLUS, 1.0, 10)
+
     def test_lindbladian_is_trace_free_and_hermitian(self):
         rng = np.random.default_rng(9)
         model = LindbladModel(
@@ -240,11 +259,14 @@ class TestDispatchAndBatch:
     def test_batch_matches_single_state_runs(self):
         rng = np.random.default_rng(10)
         rho0s = np.stack([random_qubit_dm(rng) for _ in range(5)])
-        model = landau_zener(1.0, 1.0)
-        times, states = propagate_unitary_batch(model, rho0s, 2.0, 400)
-        for b in range(5):
-            single = propagate_timedep(model, rho0s[b], 2.0, 400)
-            assert np.max(np.abs(states[:, b] - single.states)) <= 1e-13
+        h0, h1 = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        rho4s = np.stack([ket_dm(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(3)])
+        cases = ((landau_zener(1.0, 1.0), rho0s), (lambda t: h0 + math.sin(t) * h1, rho4s))
+        for model, stack in cases:
+            times, states = propagate_unitary_batch(model, stack, 2.0, 400)
+            for b in range(len(stack)):
+                single = propagate_timedep(model, stack[b], 2.0, 400)
+                assert np.max(np.abs(states[:, b] - single.states)) <= 1e-13
 
     def test_batch_constant_hamiltonian(self):
         rng = np.random.default_rng(11)
@@ -253,3 +275,22 @@ class TestDispatchAndBatch:
         for b in range(3):
             single = propagate_const(H_ROT, rho0s[b], 1.0, 50)
             assert np.max(np.abs(states[:, b] - single.states)) <= 1e-13
+
+    @pytest.mark.parametrize("model", [H_ROT, landau_zener(1.0, 1.0)], ids=["const", "driven"])
+    def test_batch_validates_every_initial_state(self, model):
+        non_psd = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
+        for bad in (2.0 * PLUS, non_psd):
+            with pytest.raises(InvalidStateError):
+                propagate_unitary_batch(model, np.stack([PLUS, bad, ZERO]), 1.0, 10)
+
+    @pytest.mark.parametrize("model", [H_ROT, landau_zener(1.0, 1.0)], ids=["const", "driven"])
+    def test_batch_rows_independent_of_batch_size(self, model):
+        rng = np.random.default_rng(12)
+        rho0s = np.stack([random_qubit_dm(rng) for _ in range(5)])
+        times, states = propagate_unitary_batch(model, rho0s, 2.0, 400)
+        for b in range(5):
+            one_times, one = propagate_unitary_batch(model, rho0s[b : b + 1], 2.0, 400)
+            assert np.array_equal(one_times, times)
+            assert np.array_equal(states[:, b], one[:, 0])
+            if not callable(model):
+                assert np.array_equal(propagate_const(model, rho0s[b], 2.0, 400).states, one[:, 0])

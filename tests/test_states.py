@@ -163,6 +163,27 @@ class TestClamp:
         with pytest.warns(RuntimeWarning):
             arccos_clamped(1.0 + 1e-6)
 
+    def test_array_is_clamped_elementwise(self):
+        x = np.array([-1.0 - 1e-9, -0.5, 0.0, 0.5, 1.0 + 1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = arccos_clamped(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, np.arccos(np.clip(x, -1.0, 1.0)))
+        assert got[0] == pytest.approx(math.pi) and got[-1] == 0.0
+
+    def test_array_warns_once_per_call(self):
+        x = np.array([[1.0 + 1e-6, 0.3], [-1.0 - 1e-6, 1.0 + 1e-5]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = arccos_clamped(x)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert np.array_equal(got, np.arccos(np.clip(x, -1.0, 1.0)))
+
+    def test_array_matches_scalar_path(self):
+        x = np.linspace(-1.0 - 1e-9, 1.0 + 1e-9, 101)
+        assert np.array_equal(arccos_clamped(x), [arccos_clamped(float(v)) for v in x])
+
 
 class TestBuresAngle:
     def test_identical_states(self):
