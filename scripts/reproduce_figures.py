@@ -12,7 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from qsl_lab.experiments import EXPERIMENTS, execute, load_config
+# run from a source checkout without installing: import the package from src
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qsl_lab.experiments import EXPERIMENTS, execute, load_config  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -1,14 +1,18 @@
 """Time evolution on uniform grids.
 
 Unitary dynamics has one core, :func:`propagate_unitary_batch`, which
-evolves a stack of initial states; a single state is a batch of one.
+evolves a stack of initial states; a single state is a batch of one.  It
+composes the propagators U(0 -> t_k) of every grid point once, then forms
+rho_k = U_k rho_0 U_k^dag for all samples and states in one conjugation
+pass:
 
-* constant Hamiltonians evolve through the exact eigendecomposition
+* constant Hamiltonians take U(t_k) from the exact eigendecomposition
   U(t) = V exp(-i E t) V^dag, so every sample is unitary to machine
   precision regardless of the grid;
-* driven (time-dependent) Hamiltonians use midpoint-exponential stepping,
-  U_k = exp(-i H(t_k + dt/2) dt), which keeps each step exactly unitary and
-  has O(dt^2) global error.
+* driven (time-dependent) Hamiltonians use midpoint-exponential steps,
+  u_k = exp(-i H(t_k + dt/2) dt), which are exactly unitary and give
+  O(dt^2) global error; their products U_k = u_{k-1} ... u_0 come from a
+  log-depth prefix scan (Hillis & Steele, CACM 1986).
 
 Lindblad models are integrated with classical fixed-step RK4 on the
 generator of :func:`lindbladian`.  Trace drift is monitored, never silently
@@ -35,6 +39,8 @@ Hamiltonian = Union[np.ndarray, HamiltonianFn]
 STEP_NORM_TARGET = 1e-3
 DEFAULT_MIN_STEPS = 100
 TRACE_DRIFT_LIMIT = 1e-6
+# grid rows per block of the conjugation pass; bounds its temporaries
+APPLY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -208,42 +214,76 @@ def _grid(t_final: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, t_final, steps + 1)
 
 
-def propagate_const(h: np.ndarray, rho0: np.ndarray, t_final: float, steps: int | None = None) -> Trajectory:
-    """Evolve under a constant Hamiltonian, rho_k = U(t_k) rho0 U(t_k)^dag.
-
-    Each U(t_k) comes straight from the eigendecomposition of H, not from
-    repeated multiplication, so unitarity does not degrade with the grid.
-    """
+def _batch_of_one(h: Hamiltonian, rho0: np.ndarray, t_final: float, steps: int | None) -> Trajectory:
     if steps is None:
         steps = default_step_count(h, t_final)
     times, states = propagate_unitary_batch(h, np.asarray(rho0)[np.newaxis], t_final, steps)
     return Trajectory(times=times, states=states[:, 0])
 
 
+def propagate_const(h: np.ndarray, rho0: np.ndarray, t_final: float, steps: int | None = None) -> Trajectory:
+    """Evolve under a constant Hamiltonian, rho_k = U(t_k) rho0 U(t_k)^dag.
+
+    Each U(t_k) comes straight from the eigendecomposition of H, not from
+    repeated multiplication, so unitarity does not degrade with the grid.
+    """
+    return _batch_of_one(h, rho0, t_final, steps)
+
+
 def propagate_timedep(h: HamiltonianFn, rho0: np.ndarray, t_final: float, steps: int | None = None) -> Trajectory:
     """Evolve under a time-dependent Hamiltonian by midpoint-exponential steps.
 
-    rho_{k+1} = U_k rho_k U_k^dag with U_k = exp(-i H(t_k + dt/2) dt).  Every
-    sample is an exactly unitary image of rho0; the global error is O(dt^2).
+    rho_k = U_k rho0 U_k^dag with U_k = u_{k-1} ... u_0 and
+    u_j = exp(-i H(t_j + dt/2) dt): a batch of one through
+    :func:`propagate_unitary_batch`.  Every sample is an exactly unitary
+    image of rho0; the global error is O(dt^2).
     """
     if not callable(h):
         raise TypeError("propagate_timedep expects a callable t -> Hamiltonian")
-    rho0 = check_density_matrix(rho0)
-    if steps is None:
-        steps = default_step_count(h, t_final)
-    times = _grid(t_final, steps)
-    us = _step_unitaries(h, times)
-    # kept apart from the batch loop: uk @ cur @ uk^dag and the batch einsum
-    # round differently (6e-15 apart after fig5's 8,000 steps, which moves
-    # 7,232 of its 8,001 theta cells after the arccos)
-    states = np.empty((steps + 1,) + rho0.shape, dtype=complex)
-    states[0] = rho0
-    cur = rho0
-    for k in range(steps):
-        uk = us[k]
-        cur = uk @ cur @ uk.conj().T
-        states[k + 1] = cur
-    return Trajectory(times=times, states=states)
+    return _batch_of_one(h, rho0, t_final, steps)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b over broadcast stacks of N x N matrices, as N multiply-adds.
+
+    Every entry goes through the same elementwise operations whatever the
+    stack shapes, so a row of a stack does not depend on the stack's size.
+    """
+    out = np.multiply(a[..., :, :1], b[..., :1, :], out=out)
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return out
+
+
+def _prefix_products(us: np.ndarray) -> np.ndarray:
+    """U_k = u_{k-1} ... u_1 u_0 for k = 0 ... M (U_0 = I), by a Hillis-Steele scan.
+
+    Before the pass with span d, entry k holds the product of the last
+    min(k, d) steps before it; the pass multiplies it by entry k - d, so
+    ceil(log2 M) passes complete every entry.
+    """
+    steps, dim = us.shape[0], us.shape[-1]
+    total = np.empty((steps + 1, dim, dim), dtype=complex)
+    total[0] = np.eye(dim)
+    total[1:] = us
+    span = 1
+    while span < steps:
+        total[span + 1 :] = _matmul(total[span + 1 :], total[1 : steps + 1 - span])
+        span *= 2
+    return total
+
+
+def _conjugate(us: np.ndarray, rho0s: np.ndarray) -> np.ndarray:
+    """rho_{k,b} = U_k rho_b U_k^dag for every grid row k and state b.
+
+    Works through APPLY_BLOCK grid rows at a time, writing straight into
+    the output.
+    """
+    states = np.empty((len(us),) + rho0s.shape, dtype=complex)
+    for start in range(0, len(us), APPLY_BLOCK):
+        u = us[start : start + APPLY_BLOCK, np.newaxis]
+        _matmul(_matmul(u, rho0s), u.conj().swapaxes(-1, -2), out=states[start : start + APPLY_BLOCK])
+    return states
 
 
 def propagate_unitary_batch(h: Hamiltonian, rho0s: np.ndarray, t_final: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,8 +291,10 @@ def propagate_unitary_batch(h: Hamiltonian, rho0s: np.ndarray, t_final: float, s
 
     Returns (times, states) with states of shape (steps+1, batch, N, N).
     Every initial state is validated, and so is H (every midpoint sample of
-    a driven H).  The step unitaries are computed once and shared, so each
-    batch row is bitwise independent of the batch size.
+    a driven H).  The propagators U(0 -> t_k) are composed once, from the
+    eigendecomposition of a constant H or by a prefix scan over the
+    midpoint steps of a driven one, and shared by one conjugation pass over
+    all states, so each batch row is bitwise independent of the batch size.
     """
     rho0s = np.asarray(rho0s, dtype=complex)
     if rho0s.ndim != 3:
@@ -260,19 +302,13 @@ def propagate_unitary_batch(h: Hamiltonian, rho0s: np.ndarray, t_final: float, s
     for rho0 in rho0s:
         check_density_matrix(rho0)
     times = _grid(t_final, steps)
-    if not callable(h):
+    if callable(h):
+        us = _prefix_products(_step_unitaries(h, times))
+    else:
         w, v = np.linalg.eigh(require_hermitian(h))
         phases = np.exp(-1j * np.outer(times, w))
         us = np.einsum("ab,kb,cb->kac", v, phases, v.conj())
-        return times, np.einsum("kab,Bbc,kdc->kBad", us, rho0s, us.conj())
-    us = _step_unitaries(h, times)
-    states = np.empty((steps + 1,) + rho0s.shape, dtype=complex)
-    states[0] = rho0s
-    cur = rho0s
-    for k in range(steps):
-        cur = np.einsum("ij,bjk,lk->bil", us[k], cur, us[k].conj())
-        states[k + 1] = cur
-    return times, states
+    return times, _conjugate(us, rho0s)
 
 
 def _generator(model: DynamicsModel) -> Callable[[float, np.ndarray], np.ndarray]:

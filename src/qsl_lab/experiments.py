@@ -378,7 +378,7 @@ def _run_series(config: ExperimentConfig, model, title: str, assess) -> RunResul
     rho0 = qubit_state_from_angles(v["purity"], v["phi"], v["varphi"])
     traj = accumulate_path(propagate(model, rho0, v["T_max"], v["steps"]))
     angles = angles_from_start(traj)
-    rep = qsl_report(model, rho0, v["theta_target"], trajectory=traj)
+    rep = report_from_series(traj.times, traj.states, traj.cumulative_path, angles, v["theta_target"])
     checks, summary, vlines = assess(traj, rep)
     s = traj.cumulative_path
     rows = [tuple(float(x) for x in row) for row in zip(traj.times, s, angles)]

@@ -171,15 +171,25 @@ def first_path_crossing(times: np.ndarray, path: np.ndarray, theta: float) -> fl
 def refine_angle_crossing(times: np.ndarray, states: np.ndarray, theta: float, k: int) -> float:
     """Bisect Theta(rho_0, .) = theta inside grid step [t_{k-1}, t_k].
 
-    The state inside the step is interpolated linearly between the bracketing
-    samples, consistent with the O(dt^2) grid accuracy.
+    The state inside the step is interpolated linearly, rho(x) = s0 + x d
+    with d = s1 - s0, consistent with the O(dt^2) grid accuracy.  The angle
+    to rho(x) needs only the traces N Tr(ab) for a, b in {rho_0, s0, d}; the
+    six are formed once, so each of the 60 bisection steps is scalar
+    arithmetic.
     """
-    ref = states[0]
+    ref, s0 = states[0], states[k - 1]
+    d = states[k] - s0
+    dim = ref.shape[-1]
+    lefts, rights = np.stack([ref, ref, ref, s0, s0, d]), np.stack([ref, s0, d, s0, d, d])
+    rr, r0, rd, s00, s0d, dd = (dim * _pair_overlaps(lefts, rights)).tolist()
+    f_ref = rr - 1.0
     lo, hi = 0.0, 1.0
-    s0, s1 = states[k - 1], states[k]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if bloch_angle(ref, s0 + mid * (s1 - s0)) >= theta:
+        f = s00 - 1.0 + mid * (2.0 * s0d + mid * dd)
+        if f_ref <= MIXED_TOL or f <= MIXED_TOL:
+            raise MaximallyMixedError("Bloch angle undefined: a state has zero-length Bloch vector")
+        if arccos_clamped((r0 + mid * rd - 1.0) / math.sqrt(f_ref * f)) >= theta:
             hi = mid
         else:
             lo = mid

@@ -83,3 +83,23 @@ def lz_bloch_oracle(sweep_rate, gap, r0, theta, t_max, steps):
         s = s_new
     tau_existing = theta * t_actual / s_at if t_actual is not None else None
     return tau_new, tau_existing, t_actual
+
+
+def bisect_interpolated_crossing(times, states, theta, k):
+    """Reference crossing solve: 60 bisection steps on interpolated matrices.
+
+    Forms the interpolated density matrix s0 + x (s1 - s0) at every step and
+    measures its Bloch angle from states[0] with ``bloch_angle``.
+    """
+    from qsl_lab import bloch_angle
+
+    ref = states[0]
+    lo, hi = 0.0, 1.0
+    s0, s1 = states[k - 1], states[k]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if bloch_angle(ref, s0 + mid * (s1 - s0)) >= theta:
+            hi = mid
+        else:
+            lo = mid
+    return float(times[k - 1] + hi * (times[k] - times[k - 1]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_qubit_dm
+from conftest import random_density, random_hermitian, random_qubit_dm
 from qsl_lab import (
     LindbladModel,
     evolution_operator,
@@ -18,6 +18,7 @@ from qsl_lab import (
     purity,
     qubit_hamiltonian,
 )
+from qsl_lab.dynamics import APPLY_BLOCK, _prefix_products, _step_unitaries
 from qsl_lab.errors import InvalidStateError, NonHermitianError, StepSizeTooLargeError
 from qsl_lab.states import SIGMA_X, SIGMA_Z, bloch_from_density
 
@@ -294,3 +295,56 @@ class TestDispatchAndBatch:
             assert np.array_equal(states[:, b], one[:, 0])
             if not callable(model):
                 assert np.array_equal(propagate_const(model, rho0s[b], 2.0, 400).states, one[:, 0])
+
+
+def _random_drive(dim, seed):
+    """H(t) = H0 + cos(3t) H1 with seeded random Hermitian H0, H1."""
+    rng = np.random.default_rng(seed)
+    h0, h1 = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    return lambda t: h0 + math.cos(3.0 * t) * h1
+
+
+class TestComposeOnce:
+    @pytest.mark.parametrize("steps", [1, 2, 3, 255, 256, 257, 2000])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_prefix_scan_matches_sequential_product(self, dim, steps):
+        us = _step_unitaries(_random_drive(dim, 50 + dim), np.linspace(0.0, 0.002 * steps, steps + 1))
+        total = _prefix_products(us)
+        assert total.shape == (steps + 1, dim, dim)
+        assert np.array_equal(total[0], np.eye(dim))
+        cur = np.eye(dim, dtype=complex)
+        for k in range(steps):
+            cur = us[k] @ cur
+            assert np.max(np.abs(total[k + 1] - cur)) <= 1e-12, k + 1
+
+    @pytest.mark.parametrize("kind", ["const", "driven"])
+    def test_batch_rows_bitwise_across_blocks(self, kind):
+        steps = 2 * APPLY_BLOCK + 88
+        assert (steps + 1) > APPLY_BLOCK and (steps + 1) % APPLY_BLOCK != 0
+        model = _random_drive(3, 60)
+        if kind == "const":
+            model = model(0.0)
+        rng = np.random.default_rng(61)
+        rho0s = np.stack([random_density(rng, 3) for _ in range(4)])
+        _, states = propagate_unitary_batch(model, rho0s, 3.0, steps)
+        for b in range(len(rho0s)):
+            _, one = propagate_unitary_batch(model, rho0s[b : b + 1], 3.0, steps)
+            assert np.array_equal(states[:, b], one[:, 0])
+
+    @pytest.mark.parametrize(
+        "model, rho0, t_final, steps",
+        [
+            (landau_zener(1.0, 1.0), PLUS, 2.0, 8000),
+            (_random_drive(3, 70), ket_dm([1.0, 1.0j, -1.0]), 3.0, 1500),
+        ],
+        ids=["fig5-landau-zener", "driven-3-level"],
+    )
+    def test_timedep_matches_step_by_step_conjugation(self, model, rho0, t_final, steps):
+        traj = propagate_timedep(model, rho0, t_final, steps)
+        us = _step_unitaries(model, traj.times)
+        cur = rho0
+        worst = np.max(np.abs(traj.states[0] - cur))
+        for k in range(steps):
+            cur = us[k] @ cur @ us[k].conj().T
+            worst = max(worst, np.max(np.abs(traj.states[k + 1] - cur)))
+        assert worst <= 1e-12

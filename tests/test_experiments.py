@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -255,3 +258,20 @@ class TestCli:
         assert code == 0
         meta = (tmp_path / "a" / "swap-demo.csv").read_text()
         assert "# seed = 1" in meta
+
+
+def test_reproduce_figures_script_runs_from_a_checkout(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path / "out"), "--skip-sweep"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("fig4", "fig5", "swap-demo"):
+        assert (tmp_path / "out" / name / f"{name}.csv").is_file()
+    assert not (tmp_path / "out" / "appendix-c").exists()

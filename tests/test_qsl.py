@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_floats, random_hermitian, random_qubit_dm
-from oracles import lz_bloch_oracle
+from conftest import finite_floats, random_density, random_hermitian, random_qubit_dm
+from oracles import bisect_interpolated_crossing, lz_bloch_oracle
 from qsl_lab import (
     LindbladModel,
     Trajectory,
@@ -32,6 +32,7 @@ from qsl_lab import (
     velocity_unitary,
 )
 from qsl_lab.errors import MaximallyMixedError, UndefinedBoundError
+from qsl_lab.qsl import refine_angle_crossing, start_angles
 from qsl_lab.states import SIGMA_Z
 
 PLUS = ket_dm([1, 1])
@@ -263,6 +264,48 @@ class TestQslSolvers:
             dt = 3.0 / 1500
             assert rep.tau_new <= rep.actual_time + dt
             assert rep.tau_existing <= rep.actual_time + dt
+
+
+class TestAngleCrossing:
+    @staticmethod
+    def _trajectories(dim):
+        rng = np.random.default_rng(40 + dim)
+        h0, h1 = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        rho0 = 0.8 * ket_dm(rng.normal(size=dim) + 1j * rng.normal(size=dim)) + 0.2 * random_density(rng, dim)
+        dephasing = tuple(math.sqrt(0.3) * np.diag(np.eye(dim)[j]).astype(complex) for j in range(dim))
+        models = {
+            "const": h0,
+            "driven": lambda t: h0 + math.cos(2.0 * t) * h1,
+            "lindblad": LindbladModel(h0, dephasing),
+        }
+        return {name: propagate(model, rho0, 4.0, 800) for name, model in models.items()}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_interpolated_matrix_bisection(self, dim):
+        for name, traj in self._trajectories(dim).items():
+            angles = start_angles(traj.states)
+            radii = np.einsum("kij,kji->k", traj.states, traj.states).real
+            if name == "lindblad":
+                assert np.ptp(radii) > 0.05
+            for frac in (0.2, 0.45, 0.7, 0.95):
+                theta = frac * float(np.max(angles))
+                k = int(np.nonzero(angles >= theta)[0][0])
+                got = refine_angle_crossing(traj.times, traj.states, theta, k)
+                want = bisect_interpolated_crossing(traj.times, traj.states, theta, k)
+                assert abs(got - want) <= 1e-12, (name, theta)
+                assert traj.times[k - 1] <= got <= traj.times[k]
+
+    def test_segment_through_the_maximally_mixed_state_raises(self):
+        # qubit: |0><0| -> |1><1| passes through I/2 at x = 1/2
+        states = np.stack([ZERO, ZERO, ONE])
+        with pytest.raises(MaximallyMixedError):
+            refine_angle_crossing(np.array([0.0, 1.0, 2.0]), states, 1.0, 2)
+        # qutrit: |0><0| -> (|1><1| + |2><2|)/2 passes through I/3 at x = 2/3
+        zero3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        rest3 = np.diag([0.0, 0.5, 0.5]).astype(complex)
+        states = np.stack([zero3, zero3, rest3])
+        with pytest.raises(MaximallyMixedError):
+            refine_angle_crossing(np.array([0.0, 1.0, 2.0]), states, 1.0, 2)
 
 
 class TestBuresBound:
